@@ -28,13 +28,12 @@ object Formation {
   *
   * The window is partitioned into sub-windows built from units, as decided
   * by the pluggable [[Partitioner]]. Per finalized partition we retain the
-  * top-k snapshot P_i^k; the candidate set C (a dominance-counted tree) is
-  * the merge of all P_i^k with removable candidates refined away (Fig. 4).
-  * When a partition is about to become the draining front, its group
-  * dominance number ρ (Definition 1) is read off the dominance counter of
-  * min(P_i^k) in C; if ρ < k its meaningful object set M_i is formed by the
-  * configured [[Formation]] policy (Lemma 2 pruning). The per-slide answer
-  * is the top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1).
+  * top-k snapshot P_i^k and fold it into the [[CandidateSet]] C. When a
+  * partition is about to become the draining front, C yields its group
+  * dominance number ρ (Definition 1); if ρ < k its meaningful object set
+  * M_i is formed by the configured [[Formation]] policy (Lemma 2 pruning).
+  * The per-slide answer is the top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0
+  * (Lemma 1).
   */
 final class Sap(
     val query: TopKQuery,
@@ -58,7 +57,7 @@ final class Sap(
 
   private val ring = new WindowRing(n)
   private val parts = new java.util.ArrayDeque[Part]()
-  private val cand = new ScoreTree // C, with dominance counters
+  private val cand = new CandidateSet(k)
 
   // Current (still growing) partition.
   private var curStartT = 1L
@@ -165,28 +164,9 @@ final class Sap(
     curUnits += summary
   }
 
-  /** Merge-&-refine (Fig. 4): fold the finalized partition's P^k into C in
-    * one ascending co-walk, bumping the dominance counters of existing
-    * candidates below each new one and removing those reaching k.
-    */
   private def finalizeCurrent(): Unit = {
     val p = new Part(curStartT, curStartT + curSize, curTop.toDescendingArray, curUnits)
-    val newAsc = p.topK.reverse
-    val doomed = new ArrayBuffer[Event]()
-    var j = 0
-    cand.foreachAscending { node =>
-      while (j < newAsc.length &&
-             !Event.gt(newAsc(j).score, newAsc(j).t, node.score, node.t)) j += 1
-      // everything in newAsc[j..] is strictly greater than this candidate
-      node.dom += newAsc.length - j
-      if (node.dom >= k) doomed += node.event
-    }
-    doomed.foreach(d => cand.delete(d.score, d.t))
-    var i = 0
-    while (i < newAsc.length) {
-      cand.insert(newAsc(i).score, newAsc(i).t, dom = 0)
-      i += 1
-    }
+    cand.mergeRefine(p.topK)
     parts.addLast(p)
     if (formation == Formation.EagerExact) formEager(p)
     curSize = 0
@@ -196,49 +176,14 @@ final class Sap(
 
   // --------------------------------------------------------- M_i formation
 
-  /** Group dominance number ρ of a partition (Definition 1): the dominance
-    * counter of min(P^k) in C. If that candidate was already refined away,
-    * at least k later-arriving candidates beat it — equivalent to ρ ≥ k.
-    */
-  private def rhoOf(p: Part): Int = {
-    val mn = p.minTop
-    val node = cand.find(mn.score, mn.t)
-    if (node == null) k else math.min(k, node.dom)
-  }
-
-  /** Fθ (Lemma 2): k-th highest candidate score outside partition `p` —
-    * i.e. among C entries not from p, plus the current partition/unit tops
-    * (all of which arrived after p and therefore outlive it).
-    */
-  private def fThetaFor(p: Part): Double = {
-    val later = mergeTop(curTop.toDescendingArray, unitTop.toDescendingArray, k)
-    var count = 0
-    var kth = Double.NegativeInfinity
-    var li = 0
-    var done = false
-    // co-walk C (descending, skipping p's own candidates) with `later`
-    cand.foreachDescendingWhile { node =>
-      if (node.t < p.startT || node.t >= p.endT) {
-        while (count < k && li < later.length &&
-               Event.gt(later(li).score, later(li).t, node.score, node.t)) {
-          count += 1; kth = later(li).score; li += 1
-        }
-        if (count < k) { count += 1; kth = node.score }
-      }
-      if (count >= k) { done = true; false } else true
-    }
-    if (!done) {
-      while (count < k && li < later.length) { count += 1; kth = later(li).score; li += 1 }
-    }
-    if (count >= k) kth else Double.NegativeInfinity
-  }
-
   private def prepareFront(p: Part): Unit = {
     p.prepared = true
     if (formation == Formation.EagerExact) return // formed at finalize time
-    val rho = rhoOf(p)
+    val rho = cand.rho(p.minTop)
     if (rho >= k) return // Lemma 1: R ⊆ C, no M needed
-    val fTheta = fThetaFor(p)
+    // the current partition and unit arrived after p and outlive it
+    val fTheta = cand.fTheta(p.startT, p.endT,
+      mergeTop(curTop.toDescendingArray, unitTop.toDescendingArray, k))
     val limit = k - rho
     val m: MeaningfulSet = formation match {
       case Formation.DelayedExact => new ExactSkybandSet(limit, fTheta)
@@ -318,46 +263,17 @@ final class Sap(
 
   // --------------------------------------------------------------- answers
 
-  /** Top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1). */
+  /** Top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1). A count-based window
+    * always holds at least k objects, so fewer results is a broken invariant.
+    */
   private def answer(): Array[Event] = {
-    val out = new Array[Event](k)
-    var filled = 0
-
-    val a = curTop.toDescendingArray
-    val b = unitTop.toDescendingArray
     val front = parts.peekFirst()
-    val mArr: Array[Event] =
+    val m =
       if (front != null && front.meaningful != null) front.meaningful.collectTop(k)
-      else Array.empty
-    var ai = 0; var bi = 0; var mi = 0
-
-    // 4-way merge: C iterated lazily, the other three as arrays.
-    val buf = new ArrayBuffer[Event](k)
-    cand.foreachDescendingWhile { node =>
-      buf += node.event
-      buf.length < k
-    }
-    val c = buf.toArray
-    var ci = 0
-
-    while (filled < k) {
-      var best: Event = null
-      var src = -1
-      if (ci < c.length) { best = c(ci); src = 0 }
-      if (ai < a.length && (best == null || Event.gt(a(ai).score, a(ai).t, best.score, best.t))) { best = a(ai); src = 1 }
-      if (bi < b.length && (best == null || Event.gt(b(bi).score, b(bi).t, best.score, best.t))) { best = b(bi); src = 2 }
-      if (mi < mArr.length && (best == null || Event.gt(mArr(mi).score, mArr(mi).t, best.score, best.t))) { best = mArr(mi); src = 3 }
-      if (best == null)
-        throw new IllegalStateException(s"candidate underflow: only $filled of $k results available")
-      src match {
-        case 0 => ci += 1
-        case 1 => ai += 1
-        case 2 => bi += 1
-        case 3 => mi += 1
-      }
-      out(filled) = best
-      filled += 1
-    }
+      else CandidateSet.NoEvents
+    val out = cand.answer(curTop.toDescendingArray, unitTop.toDescendingArray, m)
+    if (out.length < k)
+      throw new IllegalStateException(s"candidate underflow: only ${out.length} of $k results available")
     out
   }
 
@@ -407,7 +323,7 @@ final class Sap(
     val minT = arrivals - n + pPrimeSize + 1
     val want = Wrt.etaK(k)
     val out = new ArrayBuffer[Double](want)
-    cand.foreachDescendingWhile { node =>
+    cand.tree.foreachDescendingWhile { node =>
       if (node.t >= minT) out += node.score
       out.length < want
     }

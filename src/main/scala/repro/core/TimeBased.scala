@@ -35,10 +35,11 @@ final class TimeBasedBruteForce(val k: Int, val windowSlides: Int) extends TimeB
 
 /** SAP under time-based windows with equal partitioning (Appendix A): a
   * partition is a fixed group of `slidesPerPartition` consecutive slides
-  * (so partitions align with slide expiry, as in the count-based case),
-  * with the same machinery — per-partition P^k, merge-&-refine candidate
-  * set with dominance counters, group dominance number ρ, and delayed
-  * exact meaningful-set formation.
+  * (so partitions align with slide expiry, as in the count-based case).
+  * Only the partition bookkeeping — buffered slides and per-slide expiry —
+  * is time-based; the per-partition P^k, ρ, Fθ and the answer come from the
+  * [[CandidateSet]] core that count-based [[Sap]] uses, and meaningful sets
+  * are formed by delayed exact formation.
   */
 final class TimeBasedSap(val k: Int, val windowSlides: Int,
                          slidesPerPartitionOpt: Option[Int] = None) extends TimeBasedTopK {
@@ -46,14 +47,14 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
     slidesPerPartitionOpt.getOrElse(
       math.max(1, math.ceil(windowSlides / math.ceil(math.sqrt(windowSlides.toDouble))).toInt))
 
-  private final class Part(val slides: ArrayBuffer[Array[Event]]) extends Serializable {
-    var topK: Array[Event] = _
+  private final class Part(val slides: ArrayBuffer[Array[Event]],
+                           val topK: Array[Event]) extends Serializable {
     var remaining: Int = slides.length // un-expired slides
     var meaningful: MeaningfulSet = _
     var prepared = false
   }
 
-  private val cand = new ScoreTree
+  private val cand = new CandidateSet(k)
   private val parts = new java.util.ArrayDeque[Part]()
   private var curSlides = new ArrayBuffer[Array[Event]]()
   private var curTop = new TopKBuffer(k)
@@ -87,24 +88,19 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
       if (front.remaining == 0) parts.pollFirst()
     }
 
-    if (slidesSeen < windowSlides) None else Some(answer())
+    if (slidesSeen < windowSlides) None
+    else {
+      val front = parts.peekFirst()
+      val m =
+        if (front != null && front.meaningful != null) front.meaningful.collectTop(k)
+        else CandidateSet.NoEvents
+      Some(cand.answer(curTop.toDescendingArray, CandidateSet.NoEvents, m))
+    }
   }
 
   private def finalizeCurrent(): Unit = {
-    val p = new Part(curSlides)
-    p.topK = curTop.toDescendingArray
-    // merge-&-refine into C (Fig. 4)
-    val newAsc = p.topK.reverse
-    val doomed = new ArrayBuffer[Event]()
-    var j = 0
-    cand.foreachAscending { node =>
-      while (j < newAsc.length &&
-             !Event.gt(newAsc(j).score, newAsc(j).t, node.score, node.t)) j += 1
-      node.dom += newAsc.length - j
-      if (node.dom >= k) doomed += node.event
-    }
-    doomed.foreach(d => cand.delete(d.score, d.t))
-    newAsc.foreach(e => cand.insert(e.score, e.t, dom = 0))
+    val p = new Part(curSlides, curTop.toDescendingArray)
+    cand.mergeRefine(p.topK)
     parts.addLast(p)
     curSlides = new ArrayBuffer[Array[Event]]()
     curTop = new TopKBuffer(k)
@@ -112,30 +108,17 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
 
   private def prepareFront(p: Part): Unit = {
     p.prepared = true
-    if (p.topK == null || p.topK.isEmpty) return
-    if (p.topK.length < k) {
-      // Every object of the partition is already a candidate: M is empty.
-      return
-    }
-    val mn = p.topK(p.topK.length - 1)
-    val node = cand.find(mn.score, mn.t)
-    val rho = if (node == null) k else math.min(k, node.dom)
+    // Empty, or fewer than k objects: every one is already a candidate and
+    // M is empty.
+    if (p.topK.length < k) return
+    val rho = cand.rho(p.topK(p.topK.length - 1))
     if (rho >= k) return
-    // Fθ: k-th best candidate outside p (all later than p's objects except
-    // earlier partitions, which never co-exist with a draining p).
-    val inP = p.topK.map(_.t).toSet
-    var cnt = 0; var fTheta = Double.NegativeInfinity
-    cand.foreachDescendingWhile { n =>
-      if (!inP.contains(n.t)) { cnt += 1; fTheta = n.score }
-      cnt < k
-    }
-    if (cnt < k) {
-      curTop.toDescendingArray.foreach { e =>
-        if (cnt < k) { cnt += 1; fTheta = e.score }
-      }
-    }
-    if (cnt < k) fTheta = Double.NegativeInfinity
+    // p's objects span arrival orders [first, last]; the current partition
+    // arrived after p and outlives it.
+    val occupied = p.slides.filter(_.nonEmpty)
+    val fTheta = cand.fTheta(occupied.head(0).t, occupied.last.last.t + 1, curTop.toDescendingArray)
     val m = new ExactSkybandSet(k - rho, fTheta)
+    val inP = p.topK.map(_.t).toSet
     // reverse arrival order over the partition's buffered slides
     var si = p.slides.length - 1
     while (si >= 0) {
@@ -149,16 +132,5 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
       si -= 1
     }
     p.meaningful = m
-  }
-
-  private def answer(): Array[Event] = {
-    val buf = new TopKBuffer(k)
-    var taken = 0
-    cand.foreachDescendingWhile { n => buf.offer(n.score, n.t); taken += 1; taken < k }
-    curTop.toDescendingArray.foreach(e => buf.offer(e.score, e.t))
-    val front = parts.peekFirst()
-    if (front != null && front.meaningful != null)
-      front.meaningful.collectTop(k).foreach(e => buf.offer(e.score, e.t))
-    buf.toDescendingArray
   }
 }

@@ -1,7 +1,8 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import repro.core.{ContinuousTopK, Event, TopKQuery}
+import repro.core.{ContinuousTopK, Event, SlideDriver, TopKQuery}
+import scala.collection.mutable.ArrayBuffer
 
 /** One emitted result row: window `wid` (1-based; window `wid` covers
   * arrivals t ∈ [(wid−1)·s + 1, (wid−1)·s + n]) and the rank-th best event.
@@ -13,9 +14,10 @@ final case class TopKRow(queryId: Int, wid: Long, rank: Int, t: Long, score: Dou
   * Input: a DataFrame of events `(queryId INT, t LONG, score DOUBLE)`; each
   * query's events are shuffled to one task (`groupByKey` over Catalyst),
   * sorted by arrival order, and driven through the chosen sequential state
-  * machine. Multiple concurrent queries parallelize across cores. Output is
-  * a DataFrame of [[TopKRow]] verified row-for-row against DuckDB window
-  * functions in the test suite.
+  * machine by the shared [[SlideDriver]], which fails the job if a query's
+  * arrival orders are not 1, 2, 3, … Multiple concurrent queries
+  * parallelize across cores. Output is a DataFrame of [[TopKRow]] verified
+  * row-for-row against DuckDB window functions in the test suite.
   */
 object SparkTopK {
 
@@ -46,24 +48,21 @@ object SparkTopK {
       qid: Int, q: TopKQuery, events: Array[Event],
       factory: TopKQuery => ContinuousTopK,
   ): Iterator[TopKRow] = {
-    val algo = factory(q)
-    val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
-    val usable = (events.length / q.s) * q.s
-    var off = 0
-    var wid = 0L
-    while (off < usable) {
-      algo.processSlide(java.util.Arrays.copyOfRange(events, off, off + q.s)) match {
-        case Some(res) =>
-          wid += 1
-          var r = 0
-          while (r < res.length) {
-            out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
-            r += 1
-          }
-        case None =>
-      }
-      off += q.s
-    }
+    val out = ArrayBuffer[TopKRow]()
+    feedRows(qid, new SlideDriver(factory(q)), events, out)
     out.iterator
   }
+
+  /** Feeds `events` through `driver`, appending one row per (window, rank)
+    * to `out`. Returns the number of events fed.
+    */
+  private[spark] def feedRows(qid: Int, driver: SlideDriver, events: Array[Event],
+                              out: ArrayBuffer[TopKRow]): Int =
+    driver.feed(events) { (wid, res) =>
+      var r = 0
+      while (r < res.length) {
+        out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
+        r += 1
+      }
+    }
 }

@@ -3,17 +3,20 @@ package repro.spark
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{ContinuousTopK, Event, TopKQuery}
+import repro.core.{ContinuousTopK, Event, SlideDriver, TopKQuery}
 
-/** Per-query operator state carried between micro-batches: the algorithm's
-  * full state machine plus the partial-slide buffer (micro-batches need not
-  * align with slide boundaries) and the running window counter.
+/** Per-query operator state carried between micro-batches: the slide
+  * driver — the algorithm's full state machine, the running window counter
+  * and the next expected arrival order, which keeps the arrival-order check
+  * continuous across batches — plus the partial-slide buffer (micro-batches
+  * need not align with slide boundaries).
   */
 final class StreamState(
-    val algo: ContinuousTopK,
+    algo: ContinuousTopK,
     var pending: Array[Event],
-    var wid: Long,
-) extends Serializable
+    wid: Long,
+    nextT: Long = 1L,
+) extends SlideDriver(algo, wid, nextT)
 
 /** The Structured Streaming form of the continuous top-k operator: a
   * `flatMapGroupsWithState` stateful windowed operator. Each micro-batch
@@ -45,22 +48,8 @@ object StructuredTopK {
           val incoming = rows.map { case (_, t, s) => Event(t, s) }.toArray
           java.util.Arrays.sort(incoming, Ordering.by[Event, Long](_.t))
           val all = st.pending ++ incoming
-          val usable = (all.length / q.s) * q.s
           val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
-          var off = 0
-          while (off < usable) {
-            st.algo.processSlide(java.util.Arrays.copyOfRange(all, off, off + q.s)) match {
-              case Some(res) =>
-                st.wid += 1
-                var r = 0
-                while (r < res.length) {
-                  out += TopKRow(qid, st.wid, r + 1, res(r).t, res(r).score)
-                  r += 1
-                }
-              case None =>
-            }
-            off += q.s
-          }
+          val usable = SparkTopK.feedRows(qid, st, all, out)
           st.pending = java.util.Arrays.copyOfRange(all, usable, all.length)
           state.update(serialize(st))
           out.iterator

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.BruteForce
+import repro.stream.StreamData
 import scala.util.Random
 
 /** Time-based windows (Appendix A): variable objects per slide. */
@@ -73,4 +75,21 @@ class TimeBasedSpec extends AnyFunSuite {
     }
     compare(k = 5, w = 10, slides)
   }
+
+  // A time-based window with exactly s events per slide and n/s slides is
+  // the count-based window ⟨n, k, s⟩, so the shared candidate-set core must
+  // answer as count-based brute force does on every slide.
+  for ((n, k, s) <- Seq((120, 6, 10), (96, 8, 8), (240, 10, 10)))
+    test(s"constant-rate TimeBasedSap == count-based brute force (n=$n k=$k s=$s)") {
+      for (ds <- StreamData.all; spp <- None +: Seq(1, 2, 3, 6, 12).map(Some(_))) {
+        val events = ds.generate(10 * n)
+        val brute = new BruteForce(TopKQuery(n, k, s))
+        val sap = new TimeBasedSap(k, n / s, spp)
+        events.grouped(s).zipWithIndex.foreach { case (slide, i) =>
+          val a = brute.processSlide(slide).map(_.toSeq)
+          val b = sap.processSlide(slide).map(_.toSeq)
+          assert(a == b, s"${ds.name} spp=$spp slide $i: brute=$a sap=$b")
+        }
+      }
+    }
 }

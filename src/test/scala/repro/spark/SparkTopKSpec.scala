@@ -95,4 +95,16 @@ class SparkTopKSpec extends SparkSpec {
     }.toSet
     assert(rows == expected)
   }
+
+  test("gapped and duplicate arrival orders fail the job") {
+    val events = StreamData.TimeU.generate(300)
+    val q = TopKQuery(60, 5, 6)
+    def failure(stream: Array[Event]): String = {
+      val df = StreamData.toDf(spark, stream).select(lit(0).as("queryId"), col("t"), col("score"))
+      val e = intercept[Exception](SparkTopK.continuousTopK(spark, df, Map(0 -> q), factory).collect())
+      Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString("\n")
+    }
+    assert(failure(events.take(100) ++ events.drop(101)).contains("arrival order t=102"))
+    assert(failure(events.take(100) ++ events.drop(99)).contains("arrival order t=100"))
+  }
 }

@@ -68,6 +68,15 @@ class StructuredTopKSpec extends SparkSpec {
     assert(split == replay)
   }
 
+  test("a micro-batch that repeats arrival orders of an earlier one fails the query") {
+    val events = StreamData.TimeU.generate(120)
+    val q = TopKQuery(60, 4, 6)
+    // batch 1: t = 1..60; batch 2: t = 55..66
+    val e = intercept[Exception](runStreaming(events.take(60) ++ events.slice(54, 66), q, Seq(60, 12)))
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(messages.exists(_.contains("arrival order t=55 where t=61 was expected")))
+  }
+
   test("StreamState java round-trip preserves algorithm behaviour") {
     val q = TopKQuery(60, 3, 6)
     val events = StreamData.Trip.generate(240)

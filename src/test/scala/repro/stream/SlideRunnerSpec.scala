@@ -55,4 +55,46 @@ class SlideRunnerSpec extends AnyFunSuite {
         "d", events, q)
     }
   }
+
+  test("the clock covers processSlide only, not metric sampling") {
+    val cpuBean = java.lang.management.ManagementFactory.getThreadMXBean
+    // processSlide is trivial; candidateCount burns ~200 µs of thread CPU.
+    final class SlowSampling(val query: TopKQuery) extends ContinuousTopK {
+      var spinNanos = 0L
+      private var seen = 0L
+      def processSlide(ev: Array[Event]): Option[Array[Event]] = {
+        seen += ev.length
+        if (seen < query.n) None else Some(ev.take(query.k))
+      }
+      def candidateCount: Int = {
+        val c0 = cpuBean.getCurrentThreadCpuTime
+        var c = c0
+        while (c - c0 < 200_000L) c = cpuBean.getCurrentThreadCpuTime
+        spinNanos += c - c0
+        0
+      }
+      def memoryBytes = 0L
+    }
+    var algo: SlowSampling = null
+    val m = SlideRunner.run(qq => { algo = new SlowSampling(qq); algo }, "slow", "d", events, q)
+    assert(algo.spinNanos >= 100 * 200_000L)
+    assert(m.cpuNanos < algo.spinNanos / 4,
+      s"cpuNanos=${m.cpuNanos} includes sampling (spin total ${algo.spinNanos})")
+  }
+
+  private def rejected(stream: Array[Event], badT: Long): Unit = {
+    val e = intercept[IllegalArgumentException] {
+      SlideRunner.run(qq => new BruteForce(qq), "a", "d", stream, q)
+    }
+    assert(e.getMessage.contains(s"t=$badT") && e.getMessage.contains(q.toString), e.getMessage)
+  }
+
+  test("gapped arrival orders are rejected") {
+    rejected(events.map(e => Event(2 * e.t, e.score)), badT = 2)
+    rejected(events.take(150) ++ events.drop(151), badT = 152)
+  }
+
+  test("duplicate arrival orders are rejected") {
+    rejected(events.take(150) ++ events.drop(149), badT = 150)
+  }
 }
