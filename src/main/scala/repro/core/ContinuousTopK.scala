@@ -54,9 +54,10 @@ class SlideDriver(val algo: ContinuousTopK, var wid: Long = 0L, var nextT: Long 
     * events fed; a trailing partial slide is left to the caller.
     *
     * @throws IllegalArgumentException when an event's arrival order is not
-    *         `nextT` — a gap, a repeat or a reordering. Every algorithm
-    *         takes t to be the arrival count, so such a stream would
-    *         otherwise give wrong answers silently.
+    *         `nextT` — a gap, a repeat or a reordering — or its score is
+    *         NaN. Every algorithm takes t to be the arrival count and
+    *         compares scores totally, so such a stream would otherwise give
+    *         wrong answers silently. Infinite scores are accepted.
     */
   def feed(events: Array[Event])(onAnswer: (Long, Array[Event]) => Unit): Int = {
     val s = algo.query.s
@@ -69,6 +70,8 @@ class SlideDriver(val algo: ContinuousTopK, var wid: Long = 0L, var nextT: Long 
           throw new IllegalArgumentException(
             s"${algo.query}: arrival order t=${events(i).t} where t=$nextT was expected; " +
               "arrival orders must run 1, 2, 3, ... without gaps or repeats")
+        if (events(i).score.isNaN)
+          throw new IllegalArgumentException(s"${algo.query}: NaN score at t=${events(i).t}")
         nextT += 1
         i += 1
       }

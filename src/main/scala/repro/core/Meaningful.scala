@@ -8,10 +8,13 @@ import scala.collection.mutable.ArrayBuffer
   * Construction protocol (both implementations): feed objects in strictly
   * decreasing arrival order via `insert`; the structure applies the global
   * pruning (score ≤ Fθ) and its local pruning internally. After
-  * construction, `onExpiry`/`pruneExpired` drop entries as the window start
-  * advances, and `collectTop` yields the best surviving entries.
+  * construction, `expire` drops entries as the window start advances, and
+  * `collectTop` yields the best surviving entries.
   */
 trait MeaningfulSet extends Serializable {
+  /** Global pruning threshold Fθ (Lemma 2): no score at or below it is kept. */
+  def fTheta: Double
+
   /** Feed the next object of the reverse-arrival scan. True if retained. */
   def insert(score: Double, t: Long): Boolean
 
@@ -35,7 +38,7 @@ trait MeaningfulSet extends Serializable {
   * `limit` = k − ρ already-scanned (hence later-arriving) objects beat it
   * (local pruning via an O(log) rank query).
   */
-final class ExactSkybandSet(limit: Int, fTheta: Double) extends MeaningfulSet {
+final class ExactSkybandSet(limit: Int, val fTheta: Double) extends MeaningfulSet {
   private val tree = new ScoreTree
 
   override def insert(score: Double, t: Long): Boolean = {
@@ -78,7 +81,7 @@ final class ExactSkybandSet(limit: Int, fTheta: Double) extends MeaningfulSet {
   * least `limit` later objects plus the ρ candidates counted globally — a
   * guaranteed non-k-skyband, pruned.
   */
-final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
+final class SAvl(limit: Int, val fTheta: Double) extends MeaningfulSet {
   private final class Stack extends Serializable {
     // Push/pop at the end: scores ascend, arrival orders descend toward end.
     val scores = new ArrayBuffer[Double]()

@@ -1,16 +1,17 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+
 /** Mutable order-statistics AVL tree keyed by the composite (score, t).
   *
   * Every algorithm in this reproduction needs the same primitive: a sorted
-  * set of (score, arrival) pairs with O(log n) insert/delete/min/max, rank
-  * queries ("how many entries beat this key"), k-th-from-top selection, and
-  * in-order iteration. Nodes carry two client payloads used by the paper's
-  * structures:
+  * set of (score, arrival) pairs with O(log n) insert/delete/min, rank
+  * queries ("how many entries beat this key") and in-order iteration. Nodes
+  * carry two client payloads used by the paper's structures:
   *
-  *   - `dom`: the dominance counter D(o, C, W) of the merge-&-refine step
-  *     (Fig. 4) and of the k-skyband baseline;
-  *   - `tag`: a free integer (partition id for SAP's candidate set).
+  *   - `dom`: the dominance counter D(o, C, W) of the dominance refinement
+  *     (Fig. 4) that SAP's candidate set, k-skyband and SMA share;
+  *   - `tag`: a free integer (the stack index in the S-AVL's tops index).
   *
   * Not thread-safe; used single-threaded inside one stream's state machine.
   */
@@ -29,8 +30,6 @@ final class ScoreTree extends Serializable {
   private var root: Node = _
 
   def size: Int = sz(root)
-  def isEmpty: Boolean = root == null
-  def nonEmpty: Boolean = root != null
 
   @inline private def sz(n: Node): Int = if (n == null) 0 else n.size
   @inline private def ht(n: Node): Int = if (n == null) 0 else n.height
@@ -107,10 +106,7 @@ final class ScoreTree extends Serializable {
     null
   }
 
-  def contains(score: Double, t: Long): Boolean = find(score, t) != null
-
   def minNode: Node = { var n = root; if (n == null) return null; while (n.left != null) n = n.left; n }
-  def maxNode: Node = { var n = root; if (n == null) return null; while (n.right != null) n = n.right; n }
 
   /** Greatest entry with key strictly less than (score, t), or null. */
   def lowerNode(score: Double, t: Long): Node = {
@@ -132,29 +128,9 @@ final class ScoreTree extends Serializable {
     cnt
   }
 
-  /** The i-th largest entry (1-based), or null if i > size. */
-  def kthLargest(i: Int): Node = {
-    if (i < 1 || i > size) return null
-    var n = root; var rank = i
-    while (true) {
-      val r = sz(n.right)
-      if (rank == r + 1) return n
-      if (rank <= r) n = n.right
-      else { rank -= r + 1; n = n.left }
-    }
-    null
-  }
-
   /** Remove and return the minimum entry, or null when empty. */
   def popMin(): Node = {
     val n = minNode
-    if (n != null) delete(n.score, n.t)
-    n
-  }
-
-  /** Remove and return the maximum entry, or null when empty. */
-  def popMax(): Node = {
-    val n = maxNode
     if (n != null) delete(n.score, n.t)
     n
   }
@@ -187,13 +163,6 @@ final class ScoreTree extends Serializable {
     ascW(n.right, f)
   }
 
-  /** All entries, ascending by key. */
-  def toAscendingArray: Array[Event] = {
-    val out = new Array[Event](size); var i = 0
-    foreachAscending { n => out(i) = n.event; i += 1 }
-    out
-  }
-
   /** All entries, descending by key. */
   def toDescendingArray: Array[Event] = {
     val out = new Array[Event](size); var i = 0
@@ -202,6 +171,30 @@ final class ScoreTree extends Serializable {
   }
 
   def clear(): Unit = root = null
+
+  /** Dominance refinement (Fig. 4): inserts the keys of `newDesc`
+    * (best-first, absent from the tree, arriving after every entry) with
+    * `dom` 0, after adding to each entry's `dom` the number of new keys
+    * above it and deleting the entries whose `dom` reaches `k`. The
+    * ascending walk stops at the first entry above every new key.
+    */
+  def insertDominating(newDesc: Array[Event], k: Int): Unit = {
+    val doomed = new ArrayBuffer[Node]()
+    var above = newDesc.length // new keys above the visited entry
+    foreachAscendingWhile { node =>
+      while (above > 0 && !Event.gt(newDesc(above - 1).score, newDesc(above - 1).t, node.score, node.t))
+        above -= 1
+      if (above > 0) {
+        node.dom += above
+        if (node.dom >= k) doomed += node
+      }
+      above > 0
+    }
+    var i = 0
+    while (i < doomed.length) { delete(doomed(i).score, doomed(i).t); i += 1 }
+    i = 0
+    while (i < newDesc.length) { insert(newDesc(i).score, newDesc(i).t); i += 1 }
+  }
 }
 
 /** A top-k buffer: a ScoreTree capped at `k` entries, keeping the largest.
@@ -224,10 +217,5 @@ final class TopKBuffer(val k: Int) extends Serializable {
 
   def size: Int = tree.size
   def minNode: ScoreTree#Node = tree.minNode
-  def maxNode: ScoreTree#Node = tree.maxNode
-  def contains(score: Double, t: Long): Boolean = tree.contains(score, t)
-  def delete(score: Double, t: Long): Boolean = tree.delete(score, t)
   def toDescendingArray: Array[Event] = tree.toDescendingArray
-  def toAscendingArray: Array[Event] = tree.toAscendingArray
-  def clear(): Unit = tree.clear()
 }

@@ -14,6 +14,8 @@ class BaselinesSpec extends AnyFunSuite {
     (400, 50, 2),
     (300, 3, 3),
     (600, 100, 60),
+    (100, 100, 10),
+    (200, 10, 200),
   )
 
   private val algos: Seq[(String, TopKQuery => ContinuousTopK)] = Seq(
@@ -31,6 +33,14 @@ class BaselinesSpec extends AnyFunSuite {
     val q = TopKQuery(n, k, s)
     SlideRunner.runAllChecked(
       Seq("brute" -> (qq => new BruteForce(qq)), an -> af), ds.name, events, q)
+  }
+
+  test("baselines == brute force on exact score ties (scores in {0,...,4})") {
+    val rnd = new scala.util.Random(3)
+    val events = Array.tabulate(2000)(i => Event(i + 1L, rnd.nextInt(5).toDouble))
+    for ((an, af) <- algos; (n, k, s) <- grid)
+      SlideRunner.runAllChecked(
+        Seq("brute" -> (qq => new BruteForce(qq)), an -> af), "ties", events, TopKQuery(n, k, s))
   }
 
   test("MinTopK reproduces the Fig. 2 worked example (n=21, k=2, s=3)") {

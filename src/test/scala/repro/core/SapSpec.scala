@@ -19,10 +19,16 @@ class SapSpec extends AnyFunSuite {
     (600, 8, 1),
     (600, 100, 60),
     (300, 3, 3),
+    // A partition plus a unit can outspan the window: k = n, large k, s = n.
+    (100, 100, 10),
+    (100, 80, 10),
+    (120, 96, 24),
+    (200, 10, 200),
   )
 
   private val partitioners: Seq[(String, TopKQuery => Partitioner)] = Seq(
     "EQUAL(m*)" -> (q => EqualPartitioner.atMStar(q)),
+    "EQUAL(m=1)" -> (_ => new EqualPartitioner(1)),
     "EQUAL(m=2)" -> (_ => new EqualPartitioner(2)),
     "EQUAL(m=7)" -> (_ => new EqualPartitioner(7)),
     "DYNA" -> (_ => new DynamicPartitioner),
@@ -51,6 +57,24 @@ class SapSpec extends AnyFunSuite {
         "sap" -> (qq => new Sap(qq, pf(qq), form)),
       ),
       ds.name, events, q)
+  }
+
+  test("SAP == brute force on exact score ties (scores in {0,...,4})") {
+    val rnd = new scala.util.Random(3)
+    val events = Array.tabulate(2000)(i => Event(i + 1L, rnd.nextInt(5).toDouble))
+    for ((pn, pf) <- partitioners; (fn, form) <- formations; (n, k, s) <- grid) {
+      val q = TopKQuery(n, k, s)
+      SlideRunner.runAllChecked(
+        Seq("brute" -> (qq => new BruteForce(qq)), s"SAP[$pn,$fn]" -> (qq => new Sap(qq, pf(qq), form))),
+        "ties", events, q)
+    }
+  }
+
+  test("a gapped slide fed straight to processSlide throws") {
+    val q = TopKQuery(n = 20, k = 2, s = 5)
+    val gapped = Array.tabulate(5)(i => Event(if (i < 2) i + 1L else i + 2L, i.toDouble))
+    for (algo <- Seq(new BruteForce(q), new Sap(q, new DynamicPartitioner)))
+      assertThrows[IllegalArgumentException](algo.processSlide(gapped))
   }
 
   test("SAP |C ∪ M0| stays within the §4.1 bound under equal partitioning at m*") {

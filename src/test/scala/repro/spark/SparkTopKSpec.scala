@@ -106,5 +106,6 @@ class SparkTopKSpec extends SparkSpec {
     }
     assert(failure(events.take(100) ++ events.drop(101)).contains("arrival order t=102"))
     assert(failure(events.take(100) ++ events.drop(99)).contains("arrival order t=100"))
+    assert(failure(events.updated(100, Event(101L, Double.NaN))).contains("NaN score at t=101"))
   }
 }

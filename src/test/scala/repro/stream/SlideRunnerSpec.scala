@@ -97,4 +97,15 @@ class SlideRunnerSpec extends AnyFunSuite {
   test("duplicate arrival orders are rejected") {
     rejected(events.take(150) ++ events.drop(149), badT = 150)
   }
+
+  test("NaN scores are rejected; infinite scores are accepted") {
+    rejected(events.updated(96, Event(97L, Double.NaN)), badT = 97)
+    val inf = events.map(e =>
+      if (e.t % 97 == 0) Event(e.t, if (e.t % 2 == 0) Double.PositiveInfinity else Double.NegativeInfinity)
+      else e)
+    SlideRunner.runAllChecked(Seq(
+      "brute" -> (qq => new BruteForce(qq)),
+      "sap" -> (qq => new Sap(qq, new EnhancedDynamicPartitioner)),
+      "k-skyband" -> (qq => new KSkyband(qq))), "d", inf, q)
+  }
 }
