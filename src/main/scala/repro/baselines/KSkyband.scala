@@ -32,13 +32,7 @@ final class KSkyband(val query: TopKQuery) extends ContinuousTopK {
       val e = fifo.pollFirst()
       cand.delete(e.score, e.t) // may be absent if already pruned
     }
-    if (arrivals < query.n) None
-    else {
-      val out = new Array[Event](query.k)
-      var j = 0
-      cand.foreachDescendingWhile { n => out(j) = n.event; j += 1; j < query.k }
-      Some(out)
-    }
+    if (arrivals < query.n) None else Some(cand.top(query.k))
   }
 
   private def arrive(e: Event): Unit = {

@@ -19,9 +19,10 @@ import scala.collection.mutable.ArrayBuffer
   * re-scans whenever scores trend downward (TIMER), and a grid maintenance
   * cost independent of s.
   */
-final class Sma(val query: TopKQuery, buckets: Int = 1024) extends ContinuousTopK {
+final class Sma(val query: TopKQuery) extends ContinuousTopK {
   import query.{k, n, s}
   private val kmax = 2 * k
+  private val buckets = 1024 // grid cells over the score range
 
   private val cand = new ScoreTree
   private val grid = Array.fill(buckets)(new ArrayBuffer[Event]())
@@ -58,10 +59,7 @@ final class Sma(val query: TopKQuery, buckets: Int = 1024) extends ContinuousTop
     if (arrivals < n) None
     else {
       if (cand.size < k) { rescan(cutoff); rescanCount += 1 }
-      val out = new Array[Event](k)
-      var j = 0
-      cand.foreachDescendingWhile { nd => out(j) = nd.event; j += 1; j < k }
-      Some(out)
+      Some(cand.top(k))
     }
   }
 
@@ -83,7 +81,7 @@ final class Sma(val query: TopKQuery, buckets: Int = 1024) extends ContinuousTop
   private def expire(cutoff: Long): Unit = {
     // At most s candidates can expire per slide; find them by arrival time.
     val dead = new ArrayBuffer[Event]()
-    cand.foreachAscending(nd => if (nd.t <= cutoff) dead += nd.event)
+    cand.foreachAscendingWhile { nd => if (nd.t <= cutoff) dead += nd.event; true }
     dead.foreach(e => cand.delete(e.score, e.t))
   }
 

@@ -59,11 +59,7 @@ final class ExactSkybandSet(limit: Int, val fTheta: Double) extends MeaningfulSe
 
   override def size: Int = tree.size
 
-  override def collectTop(maxCount: Int): Array[Event] = {
-    val out = new ArrayBuffer[Event](math.min(maxCount, tree.size))
-    tree.foreachDescendingWhile { n => out += n.event; out.length < maxCount }
-    out.toArray
-  }
+  override def collectTop(maxCount: Int): Array[Event] = tree.top(maxCount)
 
   override def memoryBytes: Long = tree.size.toLong * ContinuousTopK.TreeNodeBytes
 }

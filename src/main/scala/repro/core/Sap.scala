@@ -49,7 +49,8 @@ final class Sap(
   private val ubsa = partitioner.useTbui && formation == Formation.DelayedSAvl
 
   /** A partition of whole units; its objects are read back from the ring. */
-  private final class Part extends Partition(k) {
+  private final class Part extends Partition {
+    /** TBUI's list L_i, kept only for UBSA. */
     val units = new ArrayBuffer[UnitSummary]()
 
     def size: Int = (lastT - startT + 1).toInt
@@ -99,14 +100,14 @@ final class Sap(
   }
 
   private val ring = new WindowRing(n)
-  private val core = new SapCore[Part](k)
+  private val core = new SapCore[Part](k, formation)
 
   // Current (still filling) unit.
   private var unitStartT = 1L
   private var unitFill = 0
   private var unitTop = new TopKBuffer(k)
 
-  private val tbui: Tbui = if (partitioner.useTbui) new Tbui(k) else null
+  private val tbui: Tbui = if (ubsa) new Tbui(k) else null
 
   private var arrivals = 0L
 
@@ -120,7 +121,7 @@ final class Sap(
       val outgoing = new Array[Event](s)
       var j = 0
       while (j < s) { outgoing(j) = ring.at(cutoff - s + 1 + j); j += 1 }
-      core.expire(cutoff, outgoing, unitTop.toDescendingArray, formation)
+      core.expire(cutoff, outgoing, unitTop.toDescendingArray)
     }
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
@@ -139,19 +140,17 @@ final class Sap(
   /** The completed unit joins the open partition or starts a new one. */
   private def completeUnit(lastT: Long): Unit = {
     val topDesc = unitTop.toDescendingArray
-    val summary =
-      if (tbui != null) tbui.completeUnit(topDesc, unitStartT, lastT + 1)
-      else new UnitSummary(unitStartT, lastT + 1, kUnit = true, topDesc)
-
     val cur = core.current
-    if (cur == null || !partitioner.join(query, cur.size,
-          SapCore.mergeTop(cur.top, topDesc, k).map(_.score),
-          historyTopScores(cur.size + unitSz))) {
-      core.finalizeCurrent(formation)
+    val merged = if (cur == null) null else SapCore.mergeTop(cur.top, topDesc, k)
+    if (cur != null && partitioner.join(query, cur.size, merged.map(_.score),
+          historyTopScores(cur.size + unitSz)))
+      cur.add(merged, unitStartT, lastT)
+    else {
+      core.finalizeCurrent()
       core.open(new Part)
+      core.current.add(topDesc, unitStartT, lastT)
     }
-    core.current.add(topDesc, unitStartT, lastT)
-    core.current.units += summary
+    if (ubsa) core.current.units += tbui.completeUnit(topDesc, unitStartT, lastT + 1)
     unitTop = new TopKBuffer(k)
     unitFill = 0
     unitStartT = lastT + 1
@@ -173,7 +172,7 @@ final class Sap(
 
   override def memoryBytes: Long = {
     var bytes = core.memoryBytes + unitTop.size.toLong * ContinuousTopK.TreeNodeBytes
-    if (partitioner.useTbui)
+    if (ubsa)
       core.foreachPartition(_.units.foreach(u => bytes += u.memoryBytes))
     bytes
   }

@@ -1,14 +1,13 @@
 package repro.core
 
 /** One partition P_i of the SAP framework (§3). It is *open* while its
-  * window kind adds objects to it; [[SapCore]] then finalizes it, which
-  * freezes its top-k snapshot P^k, and gives it its meaningful set M once it
-  * starts draining. A window kind subclasses it with what it keeps of the
+  * window kind adds objects to it; [[SapCore]] then finalizes it, merging
+  * its top-k P^k into C, and gives it its meaningful set M once it starts
+  * draining. A window kind subclasses it with what it keeps of the
   * partition's objects and how it feeds them into M.
   */
-abstract class Partition(k: Int) extends Serializable {
-  private var open = new TopKBuffer(k)
-  private var frozen: Array[Event] = _
+abstract class Partition extends Serializable {
+  private var topK = SapCore.NoEvents
   private var first = Long.MaxValue
   private var last = Long.MinValue
   private[core] var prepared = false
@@ -20,26 +19,21 @@ abstract class Partition(k: Int) extends Serializable {
   /** Arrival order of the last object. */
   final def lastT: Long = last
 
-  /** Adds the objects arriving over [fromT, toT]. `objects` need only hold
-    * those of them that can be among their k best.
+  /** Adds the objects arriving over [fromT, toT]; `newTop` is P^k with
+    * them, best-first (the merge of `top` with their top-k).
     */
-  final def add(objects: Array[Event], fromT: Long, toT: Long): Unit = {
-    var i = 0
-    while (i < objects.length) { open.offer(objects(i).score, objects(i).t); i += 1 }
+  final def add(newTop: Array[Event], fromT: Long, toT: Long): Unit = {
+    topK = newTop
     if (first == Long.MaxValue) first = fromT
     last = toT
   }
 
   /** P^k, best-first. */
-  final def top: Array[Event] = if (open != null) open.toDescendingArray else frozen
+  final def top: Array[Event] = topK
 
-  final def topSize: Int = if (open != null) open.size else frozen.length
-
-  private[core] def freeze(): Unit = { frozen = open.toDescendingArray; open = null }
-
-  /** True iff the partition's object (score, t) is not in the frozen P^k. */
+  /** True iff the partition's object (score, t) is not in P^k. */
   protected final def outsideTop(score: Double, t: Long): Boolean = {
-    val min = frozen(frozen.length - 1)
+    val min = topK(topK.length - 1)
     Event.gt(min.score, min.t, score, t)
   }
 
@@ -59,7 +53,7 @@ abstract class Partition(k: Int) extends Serializable {
   * core finalizes, prepares the draining partition (ρ, Fθ, M), expires,
   * drops, and answers by Lemma 1.
   */
-final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
+final class SapCore[P >: Null <: Partition](k: Int, formation: Formation) extends Serializable {
   /** C keyed by (score, t); `dom` is the dominance counter D(o, C, W). */
   private[core] val cand = new ScoreTree
   private val parts = new java.util.ArrayDeque[P]()
@@ -76,14 +70,13 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
     * candidates exist to give ρ or Fθ — so it keeps the full k-skyband of
     * P − P^k. A partition without objects is dropped.
     */
-  def finalizeCurrent(formation: Formation): Unit = {
+  def finalizeCurrent(): Unit = {
     val p = cur
     cur = null
-    if (p == null || p.topSize == 0) return
-    p.freeze()
+    if (p == null || p.top.length == 0) return
     cand.insertDominating(p.top, k)
     parts.addLast(p)
-    if (formation == Formation.EagerExact) form(p, k, Double.NegativeInfinity, formation)
+    if (formation == Formation.EagerExact) form(p, k, Double.NegativeInfinity)
   }
 
   /** Expiry at the start of a slide, before its arrivals. Every object with
@@ -96,29 +89,28 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
     *  - the partition that starts draining is prepared (ρ, Fθ, M);
     *  - the outgoing objects leave C and the draining partition's M.
     */
-  def expire(cutoff: Long, outgoing: Array[Event], laterTop: => Array[Event],
-             formation: Formation): Unit = {
-    if (cur != null && cur.startT <= cutoff) finalizeCurrent(formation)
+  def expire(cutoff: Long, outgoing: Array[Event], laterTop: => Array[Event]): Unit = {
+    if (cur != null && cur.startT <= cutoff) finalizeCurrent()
     while (!parts.isEmpty && parts.peekFirst().lastT <= cutoff) parts.pollFirst()
     val front = parts.peekFirst()
     if (front != null && !front.prepared && front.startT <= cutoff)
-      prepare(front, laterTop, formation)
+      prepare(front, laterTop)
     var i = 0
     while (i < outgoing.length) { cand.delete(outgoing(i).score, outgoing(i).t); i += 1 }
     if (front != null && front.meaningful != null) front.meaningful.expire(outgoing, cutoff)
   }
 
-  private def prepare(p: P, laterTop: Array[Event], formation: Formation): Unit = {
+  private def prepare(p: P, laterTop: Array[Event]): Unit = {
     p.prepared = true
     // Fewer than k objects: all of them are in P^k and M is empty.
-    if (p.topSize < k || formation == Formation.EagerExact) return
+    if (p.top.length < k || formation == Formation.EagerExact) return
     val rho = this.rho(p)
     if (rho >= k) return // Lemma 1: R ⊆ C, no M needed
     val later = SapCore.mergeTop(currentTop, laterTop, k)
-    form(p, k - rho, fTheta(p.lastT, later), formation)
+    form(p, k - rho, fTheta(p.lastT, later))
   }
 
-  private def form(p: P, limit: Int, fTheta: Double, formation: Formation): Unit = {
+  private def form(p: P, limit: Int, fTheta: Double): Unit = {
     val m =
       if (formation == Formation.DelayedSAvl) new SAvl(limit, fTheta)
       else new ExactSkybandSet(limit, fTheta)
@@ -131,7 +123,7 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
     * later-arriving candidates beat it — equivalent to ρ ≥ k.
     */
   private def rho(p: P): Int = {
-    val min = p.top(p.topSize - 1)
+    val min = p.top(p.top.length - 1)
     val node = cand.find(min.score, min.t)
     if (node == null) k else math.min(k, node.dom)
   }
@@ -162,8 +154,6 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
 
   private def currentTop: Array[Event] = if (cur == null) SapCore.NoEvents else cur.top
 
-  private def currentTopSize: Int = if (cur == null) 0 else cur.topSize
-
   /** Top-k of C ∪ P_cur^k ∪ `laterTop` ∪ M_0 (Lemma 1), best-first;
     * `laterTop` is best-first and disjoint from the rest. Shorter than k
     * only when the four sources hold fewer than k objects together.
@@ -173,53 +163,26 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
     val m =
       if (front != null && front.meaningful != null) front.meaningful.collectTop(k)
       else SapCore.NoEvents
-    val a = currentTop
-    val c = new Array[Event](math.min(k, cand.size))
-    var ci = 0
-    cand.foreachDescendingWhile { node =>
-      c(ci) = node.event
-      ci += 1
-      ci < c.length
-    }
-    val out = new Array[Event](k)
-    var filled = 0
-    ci = 0
-    var ai = 0; var bi = 0; var mi = 0
-    var src = 0
-    while (filled < k && src >= 0) {
-      var best: Event = null
-      src = -1
-      if (ci < c.length) { best = c(ci); src = 0 }
-      if (ai < a.length && (best == null || Event.gt(a(ai).score, a(ai).t, best.score, best.t))) { best = a(ai); src = 1 }
-      if (bi < laterTop.length && (best == null || Event.gt(laterTop(bi).score, laterTop(bi).t, best.score, best.t))) { best = laterTop(bi); src = 2 }
-      if (mi < m.length && (best == null || Event.gt(m(mi).score, m(mi).t, best.score, best.t))) { best = m(mi); src = 3 }
-      src match {
-        case 0 => ci += 1
-        case 1 => ai += 1
-        case 2 => bi += 1
-        case 3 => mi += 1
-        case _ => // all four sources exhausted
-      }
-      if (best != null) { out(filled) = best; filled += 1 }
-    }
-    if (filled == k) out else java.util.Arrays.copyOf(out, filled)
+    import SapCore.mergeTop
+    mergeTop(mergeTop(mergeTop(cand.top(k), currentTop, k), laterTop, k), m, k)
   }
 
   // --------------------------------------------------------------- metrics
 
   /** |C| + |P_cur^k| + every live partition's |M|. */
   def candidateCount: Int = {
-    var count = cand.size + currentTopSize
+    var count = cand.size + currentTop.length
     parts.forEach(p => if (p.meaningful != null) count += p.meaningful.size)
     count
   }
 
   /** Structural bytes of C, P_cur^k and every live partition's P^k and M. */
   def memoryBytes: Long = {
-    var bytes = (cand.size + currentTopSize).toLong * ContinuousTopK.TreeNodeBytes
+    var bytes = cand.size.toLong * ContinuousTopK.TreeNodeBytes +
+      currentTop.length.toLong * ContinuousTopK.HeapSlotBytes
     parts.forEach { p =>
       if (p.meaningful != null) bytes += p.meaningful.memoryBytes
-      bytes += p.topSize.toLong * ContinuousTopK.HeapSlotBytes
+      bytes += p.top.length.toLong * ContinuousTopK.HeapSlotBytes
     }
     bytes
   }
@@ -231,18 +194,21 @@ final class SapCore[P >: Null <: Partition](k: Int) extends Serializable {
 }
 
 object SapCore {
-  /** The absent source of an answer merge. */
+  /** The empty best-first list. */
   val NoEvents: Array[Event] = new Array[Event](0)
 
-  /** Merge two best-first arrays into the best `limit`. */
+  /** The best `min(limit, |a| + |b|)` of two best-first arrays, best-first,
+    * in a new array: never `a` or `b`, so callers may keep or hand it out.
+    */
   def mergeTop(a: Array[Event], b: Array[Event], limit: Int): Array[Event] = {
-    val out = new scala.collection.mutable.ArrayBuffer[Event](limit)
-    var i = 0; var j = 0
-    while (out.length < limit && (i < a.length || j < b.length)) {
+    val out = new Array[Event](math.min(limit, a.length + b.length))
+    var i = 0; var j = 0; var o = 0
+    while (o < out.length) {
       if (j >= b.length || (i < a.length && Event.gt(a(i).score, a(i).t, b(j).score, b(j).t)))
-        { out += a(i); i += 1 }
-      else { out += b(j); j += 1 }
+        { out(o) = a(i); i += 1 }
+      else { out(o) = b(j); j += 1 }
+      o += 1
     }
-    out.toArray
+    out
   }
 }

@@ -135,16 +135,6 @@ final class ScoreTree extends Serializable {
     n
   }
 
-  /** In-order ascending visit; `f` must not mutate the tree. */
-  def foreachAscending(f: Node => Unit): Unit = asc(root, f)
-  private def asc(n: Node, f: Node => Unit): Unit =
-    if (n != null) { asc(n.left, f); f(n); asc(n.right, f) }
-
-  /** In-order descending visit; `f` must not mutate the tree. */
-  def foreachDescending(f: Node => Unit): Unit = desc(root, f)
-  private def desc(n: Node, f: Node => Unit): Unit =
-    if (n != null) { desc(n.right, f); f(n); desc(n.left, f) }
-
   /** Descending visit with early exit: stop when `f` returns false. */
   def foreachDescendingWhile(f: Node => Boolean): Unit = { descW(root, f); () }
   private def descW(n: Node, f: Node => Boolean): Boolean = {
@@ -163,10 +153,10 @@ final class ScoreTree extends Serializable {
     ascW(n.right, f)
   }
 
-  /** All entries, descending by key. */
-  def toDescendingArray: Array[Event] = {
-    val out = new Array[Event](size); var i = 0
-    foreachDescending { n => out(i) = n.event; i += 1 }
+  /** The best `min(limit, size)` entries, best-first, in a new array. */
+  def top(limit: Int): Array[Event] = {
+    val out = new Array[Event](math.min(limit, size)); var i = 0
+    if (out.length > 0) foreachDescendingWhile { n => out(i) = n.event; i += 1; i < out.length }
     out
   }
 
@@ -198,7 +188,8 @@ final class ScoreTree extends Serializable {
 }
 
 /** A top-k buffer: a ScoreTree capped at `k` entries, keeping the largest.
-  * Used for P_i^k, per-unit U_v^k, and brute-force selection.
+  * Used for the top-k of a filling unit or a time slide, and for
+  * brute-force selection.
   */
 final class TopKBuffer(val k: Int) extends Serializable {
   val tree = new ScoreTree
@@ -217,5 +208,5 @@ final class TopKBuffer(val k: Int) extends Serializable {
 
   def size: Int = tree.size
   def minNode: ScoreTree#Node = tree.minNode
-  def toDescendingArray: Array[Event] = tree.toDescendingArray
+  def toDescendingArray: Array[Event] = tree.top(tree.size)
 }

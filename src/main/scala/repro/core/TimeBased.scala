@@ -14,7 +14,20 @@ import scala.collection.mutable.ArrayBuffer
 trait TimeBasedTopK extends Serializable {
   def k: Int
   def windowSlides: Int
+
+  /** @throws IllegalArgumentException on a NaN score, which no total order
+    *         of (score, t) can place
+    */
   def processSlide(batch: Array[Event]): Option[Array[Event]]
+
+  protected final def rejectNaN(batch: Array[Event]): Unit = {
+    var i = 0
+    while (i < batch.length) {
+      if (batch(i).score.isNaN)
+        throw new IllegalArgumentException(s"NaN score at t=${batch(i).t}")
+      i += 1
+    }
+  }
 }
 
 /** Ground truth: keep the raw slides, re-select per slide. */
@@ -22,6 +35,7 @@ final class TimeBasedBruteForce(val k: Int, val windowSlides: Int) extends TimeB
   private val slides = new java.util.ArrayDeque[Array[Event]]()
 
   override def processSlide(batch: Array[Event]): Option[Array[Event]] = {
+    rejectNaN(batch)
     slides.addLast(batch)
     if (slides.size > windowSlides) slides.pollFirst()
     if (slides.size < windowSlides) None
@@ -47,7 +61,7 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
       math.max(1, math.ceil(windowSlides / math.ceil(math.sqrt(windowSlides.toDouble))).toInt))
 
   /** A partition of buffered slides. */
-  private final class Part extends Partition(k) {
+  private final class Part extends Partition {
     val slides = new ArrayBuffer[Array[Event]]()
 
     override protected[core] def feedNewestFirst(m: MeaningfulSet): Unit = {
@@ -65,22 +79,27 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
     }
   }
 
-  private val core = new SapCore[Part](k)
+  private val core = new SapCore[Part](k, Formation.DelayedSAvl)
   private val window = new java.util.ArrayDeque[Array[Event]]() // the last windowSlides slides
   private var cutoff = Long.MinValue // the largest t that has left the window
 
   override def processSlide(batch: Array[Event]): Option[Array[Event]] = {
+    rejectNaN(batch)
     if (window.size == windowSlides) {
       val outgoing = window.pollFirst()
       if (outgoing.nonEmpty) cutoff = outgoing.last.t
-      core.expire(cutoff, outgoing, SapCore.NoEvents, Formation.DelayedSAvl)
+      core.expire(cutoff, outgoing, SapCore.NoEvents)
     }
     window.addLast(batch)
     if (core.current == null) core.open(new Part)
     val p = core.current
     p.slides += batch
-    if (batch.nonEmpty) p.add(batch, batch(0).t, batch.last.t)
-    if (p.slides.length == slidesPerPartition) core.finalizeCurrent(Formation.DelayedSAvl)
+    if (batch.nonEmpty) {
+      val batchTop = new TopKBuffer(k)
+      batch.foreach(e => batchTop.offer(e.score, e.t))
+      p.add(SapCore.mergeTop(p.top, batchTop.toDescendingArray, k), batch(0).t, batch.last.t)
+    }
+    if (p.slides.length == slidesPerPartition) core.finalizeCurrent()
     if (window.size < windowSlides) None else Some(core.answer(SapCore.NoEvents))
   }
 }

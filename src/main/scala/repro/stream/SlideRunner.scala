@@ -10,14 +10,11 @@ import repro.core.{ContinuousTopK, Event, SlideDriver, TopKQuery}
   * /proc/stat `steal`); wall-clock cells would randomly inflate 10–100×.
   * Thread CPU time is immune to steal and is the honest cost of a
   * single-threaded maintenance loop.
-  * `elapsedNanos` (wall time inside `processSlide`) is retained for
-  * reference.
   */
 final case class RunMetrics(
     algo: String,
     dataset: String,
     query: TopKQuery,
-    elapsedNanos: Long,
     cpuNanos: Long,
     avgCandidates: Double,
     peakCandidates: Int,
@@ -27,7 +24,6 @@ final case class RunMetrics(
     windows: Long,
 ) {
   def seconds: Double = cpuNanos / 1e9
-  def wallSeconds: Double = elapsedNanos / 1e9
   def memoryKb: Double = avgMemoryBytes / 1024.0
 }
 
@@ -49,16 +45,13 @@ object SlideRunner {
     var memSum = 0.0
     var memPeak = 0L
     var samples = 0L
-    var elapsed = 0L
     var cpu = 0L
 
     val cpuBean = java.lang.management.ManagementFactory.getThreadMXBean
     val driver = new SlideDriver(makeAlgo(q)) {
       override protected def step(slide: Array[Event]): Option[Array[Event]] = {
         val c0 = cpuBean.getCurrentThreadCpuTime
-        val t0 = System.nanoTime()
         val res = algo.processSlide(slide)
-        elapsed += System.nanoTime() - t0
         cpu += cpuBean.getCurrentThreadCpuTime - c0
         val c = algo.candidateCount
         val m = algo.memoryBytes
@@ -77,7 +70,7 @@ object SlideRunner {
       }
     }
 
-    RunMetrics(algoName, dataset, q, elapsed, cpu,
+    RunMetrics(algoName, dataset, q, cpu,
       if (samples > 0) candSum / samples else 0.0, candPeak,
       if (samples > 0) memSum / samples else 0.0, memPeak,
       digest, driver.wid)

@@ -70,6 +70,22 @@ class SapSpec extends AnyFunSuite {
     }
   }
 
+  test("answers belong to the caller: clearing each one changes no later answer") {
+    val events = StreamData.Stock.generate(streamLen)
+    for ((pn, pf) <- partitioners; (fn, form) <- formations;
+         (n, k, s) <- Seq((200, 5, 10), (400, 50, 2), (100, 100, 10), (200, 10, 200))) {
+      val q = TopKQuery(n, k, s)
+      val brute = new BruteForce(q)
+      val sap = new Sap(q, pf(q), form)
+      events.grouped(s).zipWithIndex.foreach { case (slide, i) =>
+        val want = brute.processSlide(slide).map(_.toSeq)
+        val got = sap.processSlide(slide)
+        assert(got.map(_.toSeq) == want, s"SAP[$pn,$fn] n=$n k=$k s=$s slide $i")
+        got.foreach(a => a.indices.foreach(a(_) = null))
+      }
+    }
+  }
+
   test("a gapped slide fed straight to processSlide throws") {
     val q = TopKQuery(n = 20, k = 2, s = 5)
     val gapped = Array.tabulate(5)(i => Event(if (i < 2) i + 1L else i + 2L, i.toDouble))

@@ -36,13 +36,16 @@ class ScoreTreeSpec extends AnyFunSuite {
       }
       val sorted = refSorted(ref)
       val okSize = tree.size == ref.size
-      val desc = tree.toDescendingArray
+      val desc = tree.top(tree.size)
       val okAsc = desc.reverse.toSeq.map(e => (e.score, e.t)) == sorted
       val okMin = sorted.headOption.forall { case (s, t) =>
         tree.minNode.score == s && tree.minNode.t == t }
       val okMax = sorted.lastOption.forall { case (s, t) =>
         desc(0).score == s && desc(0).t == t }
-      okSize && okAsc && okMin && okMax
+      val okTop = Seq(0, 1, 7, ref.size, ref.size + 5).forall { limit =>
+        tree.top(limit).toSeq.map(e => (e.score, e.t)) == sorted.reverse.take(limit)
+      }
+      okSize && okAsc && okMin && okMax && okTop
     })
   }
 

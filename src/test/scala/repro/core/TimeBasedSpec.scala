@@ -78,6 +78,18 @@ class TimeBasedSpec extends AnyFunSuite {
     compare(k = 5, w = 10, slides)
   }
 
+  for ((name, make) <- Seq[(String, () => TimeBasedTopK)](
+         "TimeBasedSap" -> (() => new TimeBasedSap(6, 12)),
+         "TimeBasedBruteForce" -> (() => new TimeBasedBruteForce(6, 12))))
+    test(s"$name rejects a NaN score, naming its t") {
+      val slides = randomSlides(50, 30, 1).map(_.map(e => if (e.t == 97) Event(e.t, Double.NaN) else e))
+      val at = slides.indexWhere(_.exists(_.t == 97))
+      val algo = make()
+      slides.take(at).foreach(algo.processSlide)
+      val err = intercept[IllegalArgumentException](algo.processSlide(slides(at)))
+      assert(err.getMessage.contains("t=97"))
+    }
+
   // A time-based window with exactly s events per slide and n/s slides is
   // the count-based window ⟨n, k, s⟩, so the shared candidate-set core must
   // answer as count-based brute force does on every slide.
